@@ -20,10 +20,6 @@
 //	rqpbench -shards 4       # run the traced probes on 4 logical shards
 //	rqpbench -debug-addr :6060   # live /metrics /queries /trace/{id} while running
 //
-// The older per-kind sweep flags (-mem-sweep, -filter-sweep, -dop-sweep,
-// -vec-sweep, -columnar-sweep, -shard-sweep) remain as deprecated aliases
-// for -sweep <kind>.
-//
 // Every -json file embeds a self-describing meta header (timestamp, go
 // version, scale/DOP/vec/rf/memory/shards config, dataset seed) so
 // cmd/rqpregress can refuse apples-to-oranges comparisons.
@@ -60,18 +56,6 @@ func main() {
 			"Zipf key-skew override for the shard sweep (0 = built-in skew ladder)")
 		sweepArg = flag.String("sweep", "",
 			fmt.Sprintf("comma-separated sweep kinds to run; known: %s", strings.Join(bench.SweepKinds(), ", ")))
-		memSweep = flag.Bool("mem-sweep", false,
-			"deprecated alias for -sweep mem-sweep")
-		filterSweep = flag.Bool("filter-sweep", false,
-			"deprecated alias for -sweep filter-sweep")
-		dopSweep = flag.Bool("dop-sweep", false,
-			"deprecated alias for -sweep dop-sweep")
-		vecSweep = flag.Bool("vec-sweep", false,
-			"deprecated alias for -sweep vec-sweep")
-		columnarSweep = flag.Bool("columnar-sweep", false,
-			"deprecated alias for -sweep columnar-sweep")
-		shardSweep = flag.Bool("shard-sweep", false,
-			"deprecated alias for -sweep shard-sweep")
 		debugAddr = flag.String("debug-addr", "",
 			"serve live introspection (/metrics, /queries, /trace/{id}, pprof) on this address while the bench runs")
 	)
@@ -85,29 +69,13 @@ func main() {
 		return
 	}
 
-	// Collect requested sweep kinds: the -sweep list first, then any
-	// deprecated per-kind alias flags, deduplicated in order.
+	// Collect the requested sweep kinds, deduplicated in order.
 	var kinds []string
 	seen := map[string]bool{}
-	addKind := func(k string) {
-		k = strings.TrimSpace(k)
-		if k != "" && !seen[k] {
+	for _, k := range strings.Split(*sweepArg, ",") {
+		if k = strings.TrimSpace(k); k != "" && !seen[k] {
 			seen[k] = true
 			kinds = append(kinds, k)
-		}
-	}
-	for _, k := range strings.Split(*sweepArg, ",") {
-		addKind(k)
-	}
-	for _, alias := range []struct {
-		kind string
-		on   *bool
-	}{
-		{"mem-sweep", memSweep}, {"filter-sweep", filterSweep}, {"dop-sweep", dopSweep},
-		{"vec-sweep", vecSweep}, {"columnar-sweep", columnarSweep}, {"shard-sweep", shardSweep},
-	} {
-		if *alias.on {
-			addKind(alias.kind)
 		}
 	}
 	// Fail fast on a misspelled kind — before any experiment burns minutes

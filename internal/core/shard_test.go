@@ -10,13 +10,17 @@ import (
 )
 
 // shardTestQueries exercises the sharded layer's distinct result shapes:
-// a one-row aggregate, a row-level join with a residual predicate (order
-// sensitive), and a LEFT JOIN (null extension, broadcast/repartition only
-// since hot-split is inner-only anyway).
+// a one-row aggregate, a row-level join with a pushed-down filter (order
+// sensitive), a LEFT JOIN (null extension, broadcast/repartition only
+// since hot-split is inner-only anyway), and a join residual comparing both
+// sides, inner and in a LEFT JOIN ... ON, which only the shard-local match
+// step can evaluate.
 var shardTestQueries = []string{
 	"SELECT COUNT(*), SUM(pt.pval) FROM pt, bt WHERE pt.k = bt.k",
 	"SELECT pt.k, bt.bval, pt.pval FROM pt, bt WHERE pt.k = bt.k AND bt.bval < 500",
 	"SELECT pt.k, bt.bval FROM pt LEFT JOIN bt ON pt.k = bt.k",
+	"SELECT pt.k, bt.bval, pt.pval FROM pt, bt WHERE pt.k = bt.k AND pt.pval < bt.bval",
+	"SELECT pt.k, bt.bval, pt.pval FROM pt LEFT JOIN bt ON pt.k = bt.k AND pt.pval < bt.bval",
 }
 
 func rowsKey(res *Result) string {

@@ -6,6 +6,7 @@ import (
 
 	"rqp/internal/expr"
 	"rqp/internal/plan"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -145,12 +146,8 @@ func (h *hashAgg) Open() error {
 			break
 		}
 		h.ctx.Clock.Probes(1)
-		for i, ge := range h.node.GroupExprs {
-			v, err := ge.Eval(r, h.ctx.Params)
-			if err != nil {
-				return err
-			}
-			key[i] = v
+		if err := evalExprs(key, h.node.GroupExprs, r, h.ctx.Params); err != nil {
+			return err
 		}
 		if err := sink.add(key, r, func(g *group) error {
 			return accumGroup(g, h.node, r, h.ctx.Params)
@@ -162,22 +159,56 @@ func (h *hashAgg) Open() error {
 	if err != nil {
 		return err
 	}
-	// Global aggregate with no groups and no input still yields one row.
-	if len(order) == 0 && len(h.node.GroupExprs) == 0 {
-		order = append(order, &group{states: make([]aggState, len(h.node.Aggs))})
-	}
-	sortGroups(order)
-	h.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		h.ctx.Clock.RowWork(1)
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(h.node.Aggs[i]))
-		}
-		h.out = append(h.out, row)
-	}
+	h.out = finalizeGroups(h.node, order, h.ctx.Clock)
 	h.pos = 0
+	return nil
+}
+
+// finalizeGroups is the group finalize every hash aggregation (hashAgg,
+// batchHashAgg, parallelAgg) shares: a global aggregate over empty input
+// still yields one row, groups sort on the key — the deterministic output
+// order of every path, independent of spill and morsel patterns — and
+// each group becomes one output row. clk is charged one unit of row work
+// per group; nil leaves the charge to the caller (the batch path charges
+// RowWorkBatch once).
+func finalizeGroups(node *plan.AggNode, order []*group, clk *storage.Clock) []types.Row {
+	if len(order) == 0 && len(node.GroupExprs) == 0 {
+		order = append(order, &group{states: make([]aggState, len(node.Aggs))})
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return compareKeys(order[i].key, order[j].key) < 0
+	})
+	out := make([]types.Row, 0, len(order))
+	for _, g := range order {
+		if clk != nil {
+			clk.RowWork(1)
+		}
+		out = append(out, g.row(node.Aggs))
+	}
+	return out
+}
+
+// row assembles g's output row: the group key, then each aggregate's
+// result.
+func (g *group) row(aggs []plan.AggSpec) types.Row {
+	row := make(types.Row, 0, len(g.key)+len(g.states))
+	row = append(row, g.key...)
+	for i := range g.states {
+		row = append(row, g.states[i].result(aggs[i]))
+	}
+	return row
+}
+
+// evalExprs fills dst with r's interpreted expressions — the row
+// operators' counterpart of evalGroupKey.
+func evalExprs(dst []types.Value, es []expr.Expr, r types.Row, params []types.Value) error {
+	for i, e := range es {
+		v, err := e.Eval(r, params)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
 	return nil
 }
 
@@ -197,6 +228,31 @@ func accumGroup(g *group, node *plan.AggNode, r types.Row, params []types.Value)
 	return nil
 }
 
+// compileAgg lowers an aggregation's group expressions and aggregate
+// arguments once at Open, for the batch and morsel aggregations; argFns is
+// index-aligned with node.Aggs (nil entries are COUNT(*)).
+func compileAgg(node *plan.AggNode) (groupFns, argFns []expr.EvalFn) {
+	argFns = make([]expr.EvalFn, len(node.Aggs))
+	for i, spec := range node.Aggs {
+		if !spec.Star {
+			argFns[i] = expr.Compile(spec.Arg)
+		}
+	}
+	return expr.CompileAll(node.GroupExprs), argFns
+}
+
+// evalGroupKey fills key with r's compiled group expressions.
+func evalGroupKey(key []types.Value, fns []expr.EvalFn, r types.Row, params []types.Value) error {
+	for i, fn := range fns {
+		v, err := fn(r, params)
+		if err != nil {
+			return err
+		}
+		key[i] = v
+	}
+	return nil
+}
+
 // accumGroupFns is accumGroup with compiled aggregate arguments (fns is
 // index-aligned with node.Aggs; nil entries are COUNT(*)).
 func accumGroupFns(g *group, node *plan.AggNode, fns []expr.EvalFn, r types.Row, params []types.Value) error {
@@ -212,14 +268,6 @@ func accumGroupFns(g *group, node *plan.AggNode, fns []expr.EvalFn, r types.Row,
 		g.states[i].add(v, spec.Distinct)
 	}
 	return nil
-}
-
-// sortGroups orders groups by key — the deterministic output order every
-// aggregation path (serial, parallel, batch) shares.
-func sortGroups(order []*group) {
-	sort.SliceStable(order, func(i, j int) bool {
-		return compareKeys(order[i].key, order[j].key) < 0
-	})
 }
 
 func rowsEqual(a, b []types.Value) bool {
@@ -255,14 +303,13 @@ type streamAgg struct {
 	node  *plan.AggNode
 	child Operator
 
-	curKey     []types.Value
-	curStates  []aggState
+	cur        *group // the group being accumulated; nil before the first row
 	done       bool
 	emittedAny bool
 }
 
 func (s *streamAgg) Open() error {
-	s.curKey = nil
+	s.cur = nil
 	s.done = false
 	s.emittedAny = false
 	return s.child.Open()
@@ -279,70 +326,43 @@ func (s *streamAgg) Next() (types.Row, bool, error) {
 		}
 		if !ok {
 			s.done = true
-			if s.curKey != nil || (len(s.node.GroupExprs) == 0 && !s.emittedAny) {
+			if s.cur != nil || (len(s.node.GroupExprs) == 0 && !s.emittedAny) {
 				return s.emit(), true, nil
 			}
 			return nil, false, nil
 		}
 		s.ctx.Clock.Compares(1)
 		key := make([]types.Value, len(s.node.GroupExprs))
-		for i, ge := range s.node.GroupExprs {
-			v, err := ge.Eval(r, s.ctx.Params)
-			if err != nil {
-				return nil, false, err
-			}
-			key[i] = v
-		}
-		if s.curKey == nil {
-			s.startGroup(key)
-		} else if !rowsEqual(s.curKey, key) {
-			out := s.emit()
-			s.startGroup(key)
-			if err := s.accumulate(r); err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
-		}
-		if err := s.accumulate(r); err != nil {
+		if err := evalExprs(key, s.node.GroupExprs, r, s.ctx.Params); err != nil {
 			return nil, false, err
 		}
+		var out types.Row
+		if s.cur != nil && !rowsEqual(s.cur.key, key) {
+			out = s.emit()
+		}
+		if s.cur == nil {
+			s.cur = &group{key: key, states: make([]aggState, len(s.node.Aggs))}
+		}
+		if err := accumGroup(s.cur, s.node, r, s.ctx.Params); err != nil {
+			return nil, false, err
+		}
+		if out != nil {
+			return out, true, nil
+		}
 	}
 }
 
-func (s *streamAgg) startGroup(key []types.Value) {
-	s.curKey = key
-	s.curStates = make([]aggState, len(s.node.Aggs))
-}
-
-func (s *streamAgg) accumulate(r types.Row) error {
-	for i, spec := range s.node.Aggs {
-		if spec.Star {
-			s.curStates[i].count++
-			continue
-		}
-		v, err := spec.Arg.Eval(r, s.ctx.Params)
-		if err != nil {
-			return err
-		}
-		s.curStates[i].add(v, spec.Distinct)
-	}
-	return nil
-}
-
+// emit finishes the current group (or, for a global aggregate over empty
+// input, an empty one) into its output row.
 func (s *streamAgg) emit() types.Row {
 	s.ctx.Clock.RowWork(1)
 	s.emittedAny = true
-	row := make(types.Row, 0, len(s.curKey)+len(s.curStates))
-	row = append(row, s.curKey...)
-	if s.curStates == nil {
-		s.curStates = make([]aggState, len(s.node.Aggs))
+	g := s.cur
+	if g == nil {
+		g = &group{states: make([]aggState, len(s.node.Aggs))}
 	}
-	for i := range s.curStates {
-		row = append(row, s.curStates[i].result(s.node.Aggs[i]))
-	}
-	s.curKey = nil
-	s.curStates = nil
-	return row
+	s.cur = nil
+	return g.row(s.node.Aggs)
 }
 
 func (s *streamAgg) Close() error { return s.child.Close() }
@@ -432,12 +452,8 @@ func (p *projectOp) Next() (types.Row, bool, error) {
 	}
 	p.ctx.Clock.RowWork(1)
 	out := make(types.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(r, p.ctx.Params)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
+	if err := evalExprs(out, p.exprs, r, p.ctx.Params); err != nil {
+		return nil, false, err
 	}
 	return out, true, nil
 }

@@ -37,6 +37,16 @@ type BatchOperator interface {
 	Close() error
 }
 
+// chunkBatch refills b with the next (up to BatchRows) rows of rows from
+// *pos, advancing *pos; zero once rows are exhausted.
+func chunkBatch(b *Batch, rows []types.Row, pos *int) int {
+	end := min(*pos+BatchRows, len(rows))
+	b.Rows = append(b.Rows[:0], rows[*pos:end]...)
+	b.Sel = identitySel(b.Sel, len(b.Rows))
+	*pos = end
+	return len(b.Rows)
+}
+
 // identitySel resets sel to the identity selection 0..n-1.
 func identitySel(sel []int, n int) []int {
 	sel = sel[:0]
@@ -212,10 +222,9 @@ func (c *countedBatch) Close() error {
 
 // vecEligible reports whether build should take the batch path for a node:
 // the context must enable vectorization, execution must be serial and
-// unsharded (with DOP above one the morsel operators own the hot loops and
-// use compiled expressions instead; sharded runs likewise compile their
-// shard-local hot loops — row/vec cost parity makes either path exact),
-// and the planner must have marked the node.
+// unsharded (with DOP above one the morsel operators own the hot loops;
+// sharded runs own their shard-local loops — both always compile their
+// expressions), and the planner must have marked the node.
 func (ctx *Context) vecEligible(p *plan.Props) bool {
 	return ctx.Vec && ctx.DOP <= 1 && ctx.Shards <= 1 && p.Vectorized
 }
@@ -432,91 +441,44 @@ func (p *batchProject) Close() error { return p.child.Close() }
 
 // ---------- batch hash join (probe side) ----------
 
-// batchHashJoin builds its hash table exactly like hashJoin (row-at-a-time
-// drain of the right child, same grant and spill behaviour) and probes with
-// left batches: one hash probe per left row, one unit of row work per
-// emitted row, residual through a compiled predicate. An output batch holds
-// every match of one input batch, so it may exceed BatchRows. Under memory
-// pressure the build delegates to the same spillJoin as the row path: probe
-// rows of spilled partitions defer (cloned out of the volatile batch), and
-// their output — already charged row by row inside the replay — streams as
-// tail batches after the probe input is exhausted.
+// batchHashJoin shares hashJoin's build phase (row-at-a-time drain of the
+// right child, same grant and spill behaviour) and probes with left
+// batches through the join kernel with a compiled residual: one
+// ProbesBatch and one RowWorkBatch per input batch, covering every probe row
+// and every emitted row. An output batch holds every match of one input
+// batch, so it may exceed BatchRows. Under memory pressure probe rows of
+// spilled partitions defer (cloned out of the volatile batch), and their
+// output — already charged row by row inside the replay — streams as tail
+// batches after the probe input is exhausted.
 type batchHashJoin struct {
-	ctx      *Context
-	node     *plan.JoinNode
-	left     BatchOperator
-	right    Operator
-	residual *expr.Pred
+	ctx   *Context
+	node  *plan.JoinNode
+	left  BatchOperator
+	right Operator
+	hashBuild
 
-	table  map[uint64][]types.Row
-	spill  *spillJoin
-	grant  int
-	rWidth int
-	in     Batch
-	key    []types.Value
-	ckey   []types.Value
-	nulls  types.Row
-	tail   []types.Row
-	tpos   int
-	lDone  bool
+	in    Batch
+	lDone bool
 }
 
 func (j *batchHashJoin) Open() error {
-	// Build drains before the probe side opens so runtime filters derived
-	// from the completed build are published when probe-side scans bind
-	// (mirrors hashJoin.Open).
-	build, err := drain(j.right)
-	if err != nil {
+	if err := j.open(j.ctx, j.node, j.right, true); err != nil {
 		return err
 	}
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-	} else {
-		j.table = make(map[uint64][]types.Row, len(build))
-		key := make([]types.Value, len(j.node.RightKeys))
-		for _, r := range build {
-			j.ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				continue
-			}
-			j.table[types.HashRow(key)] = append(j.table[types.HashRow(key)], r)
-		}
-	}
-	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.ckey = make([]types.Value, len(j.node.RightKeys))
-	j.nulls = nullRow(j.rWidth)
-	if j.node.Residual != nil {
-		j.residual = expr.CompilePredicate(j.node.Residual)
-	}
-	j.tail, j.tpos, j.lDone = nil, 0, false
+	j.lDone = false
 	return j.left.Open()
 }
 
-// tailBatch streams the deferred-partition output in BatchRows chunks. Its
-// rows were charged (row work, probes) inside the spill replay, so no batch
-// charge applies here.
-func (j *batchHashJoin) tailBatch(b *Batch) int {
-	if j.tpos >= len(j.tail) {
-		return 0
-	}
-	end := j.tpos + BatchRows
-	if end > len(j.tail) {
-		end = len(j.tail)
-	}
-	b.Rows = append(b.Rows[:0], j.tail[j.tpos:end]...)
-	b.Sel = identitySel(b.Sel, len(b.Rows))
-	j.tpos = end
-	return len(b.Rows)
-}
-
 func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
+	collect := func(types.Row) error {
+		b.Rows = append(b.Rows, j.st.take())
+		return nil
+	}
 	for {
 		if j.lDone {
-			return j.tailBatch(b), nil
+			// The deferred partitions' output was charged (row work, probes)
+			// inside the spill replay, so no batch charge applies here.
+			return chunkBatch(b, j.tail, &j.tpos), nil
 		}
 		n, err := j.left.NextBatch(&j.in)
 		if err != nil {
@@ -524,52 +486,16 @@ func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
 		}
 		if n == 0 {
 			j.lDone = true
-			if j.spill != nil {
-				err := j.spill.finish(func(r types.Row) error {
-					j.tail = append(j.tail, r)
-					return nil
-				})
-				if err != nil {
-					return 0, err
-				}
+			if err := j.replay(); err != nil {
+				return 0, err
 			}
 			continue
 		}
 		j.ctx.Clock.ProbesBatch(n)
 		b.Rows = b.Rows[:0]
 		for _, i := range j.in.Sel {
-			lr := j.in.Rows[i]
-			keyInto(j.key, lr, j.node.LeftKeys)
-			matched := false
-			deferred := false
-			if !keyHasNull(j.key) {
-				var cands []types.Row
-				if j.spill != nil {
-					cands, deferred = j.spill.probe(lr, j.key)
-				} else {
-					cands = j.table[types.HashRow(j.key)]
-				}
-				for _, cand := range cands {
-					keyInto(j.ckey, cand, j.node.RightKeys)
-					if !keysEqual(j.key, j.ckey) {
-						continue
-					}
-					out := types.Concat(lr, cand)
-					if j.residual != nil {
-						ok, err := j.residual.Eval(out, j.ctx.Params)
-						if err != nil {
-							return 0, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					matched = true
-					b.Rows = append(b.Rows, out)
-				}
-			}
-			if j.node.Type == plan.LeftOuter && !matched && !deferred {
-				b.Rows = append(b.Rows, types.Concat(lr, j.nulls))
+			if err := j.kern.probe(nil, j.st, j.tab, j.in.Rows[i], collect); err != nil {
+				return 0, err
 			}
 		}
 		j.ctx.Clock.RowWorkBatch(len(b.Rows))
@@ -581,14 +507,7 @@ func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
 }
 
 func (j *batchHashJoin) Close() error {
-	j.table = nil
-	j.tail = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
+	j.close(j.ctx)
 	return j.left.Close()
 }
 
@@ -617,13 +536,7 @@ func (a *batchHashAgg) Open() error {
 	if err := a.child.Open(); err != nil {
 		return err
 	}
-	a.groupFns = expr.CompileAll(a.node.GroupExprs)
-	a.argFns = make([]expr.EvalFn, len(a.node.Aggs))
-	for i, spec := range a.node.Aggs {
-		if !spec.Star {
-			a.argFns[i] = expr.Compile(spec.Arg)
-		}
-	}
+	a.groupFns, a.argFns = compileAgg(a.node)
 	sink := newAggSink(a.ctx, a.node, 0)
 	defer sink.close()
 	key := make([]types.Value, len(a.groupFns))
@@ -639,12 +552,8 @@ func (a *batchHashAgg) Open() error {
 		a.ctx.Clock.ProbesBatch(n)
 		for _, i := range in.Sel {
 			r := in.Rows[i]
-			for gi, fn := range a.groupFns {
-				v, err := fn(r, a.ctx.Params)
-				if err != nil {
-					return err
-				}
-				key[gi] = v
+			if err := evalGroupKey(key, a.groupFns, r, a.ctx.Params); err != nil {
+				return err
 			}
 			if err := sink.add(key, r, func(g *group) error {
 				return accumGroupFns(g, a.node, a.argFns, r, a.ctx.Params)
@@ -657,37 +566,14 @@ func (a *batchHashAgg) Open() error {
 	if err != nil {
 		return err
 	}
-	// Global aggregate with no groups and no input still yields one row.
-	if len(order) == 0 && len(a.node.GroupExprs) == 0 {
-		order = append(order, &group{states: make([]aggState, len(a.node.Aggs))})
-	}
-	sortGroups(order)
-	a.ctx.Clock.RowWorkBatch(len(order))
-	a.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(a.node.Aggs[i]))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = finalizeGroups(a.node, order, nil)
+	a.ctx.Clock.RowWorkBatch(len(a.out))
 	a.pos = 0
 	return nil
 }
 
 func (a *batchHashAgg) NextBatch(b *Batch) (int, error) {
-	if a.pos >= len(a.out) {
-		return 0, nil
-	}
-	end := a.pos + BatchRows
-	if end > len(a.out) {
-		end = len(a.out)
-	}
-	b.Rows = append(b.Rows[:0], a.out[a.pos:end]...)
-	b.Sel = identitySel(b.Sel, len(b.Rows))
-	a.pos = end
-	return len(b.Rows), nil
+	return chunkBatch(b, a.out, &a.pos), nil
 }
 
 func (a *batchHashAgg) Close() error {

@@ -12,7 +12,7 @@ import (
 )
 
 // Columnar scan execution. All three variants — row-at-a-time (colScan),
-// vectorized (batchColScan) and morsel-parallel (scanMorsel's columnar
+// vectorized (batchColScan) and morsel-parallel (morselSource.feed's columnar
 // branch) — share one block core, colScanner.scanBlock, so they issue the
 // identical multiset of clock charges per block:
 //
@@ -36,8 +36,7 @@ type colScanner struct {
 	need        []int       // columns to decode, always non-nil and sorted
 	pushed      []pushedCmp // col ⋈ const conjuncts evaluated on encoded blocks
 	alwaysFalse bool        // a conjunct compares against NULL: nothing matches
-	residual    expr.Expr   // conjuncts that could not be pushed
-	resPred     *expr.Pred  // compiled residual (vectorized runs)
+	residual    *expr.Pred  // compiled conjuncts that could not be pushed
 }
 
 // pushedCmp is one col ⋈ const conjunct lowered onto the column store.
@@ -78,8 +77,7 @@ func colScannerFor(ctx *Context, node *plan.ScanNode, rf *rfConsumer) *colScanne
 		}
 		rest = append(rest, cj)
 	}
-	c.residual = expr.AndAll(rest)
-	c.resPred = compilePred(ctx, c.residual)
+	c.residual = compilePred(expr.AndAll(rest))
 	if node.NeedCols != nil {
 		c.need = node.NeedCols
 	} else {
@@ -226,13 +224,7 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 		}
 		clk.RowWork(1)
 		if c.residual != nil {
-			var ok bool
-			var err error
-			if c.resPred != nil {
-				ok, err = c.resPred.Eval(row, c.ctx.Params)
-			} else {
-				ok, err = expr.EvalPredicate(c.residual, row, c.ctx.Params)
-			}
+			ok, err := c.residual.Eval(row, c.ctx.Params)
 			if err != nil {
 				return err
 			}
@@ -384,14 +376,7 @@ func (s *batchColScan) NextBatch(b *Batch) (int, error) {
 	}
 	for {
 		if s.pos < len(s.buf) {
-			end := s.pos + BatchRows
-			if end > len(s.buf) {
-				end = len(s.buf)
-			}
-			b.Rows = append(b.Rows[:0], s.buf[s.pos:end]...)
-			b.Sel = identitySel(b.Sel, len(b.Rows))
-			s.pos = end
-			return len(b.Rows), nil
+			return chunkBatch(b, s.buf, &s.pos), nil
 		}
 		if s.block >= s.sc.cs.NumBlocks() {
 			return 0, nil

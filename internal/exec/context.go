@@ -27,10 +27,11 @@ type Context struct {
 	// marked by plan.MarkParallel through the morsel-driven operators; zero
 	// or one keeps execution serial.
 	DOP int
-	// Vec enables vectorized execution: serial plans route nodes marked by
-	// plan.MarkVectorized through batch operators with compiled
-	// expressions; with DOP above one the morsel operators compile their
-	// hot-loop expressions instead (a morsel is already a batch).
+	// Vec chooses the serial batch operators over the row operators: with
+	// DOP one and no shards, plan nodes marked by plan.MarkVectorized run as
+	// batch operators. It selects nothing else — morsel, shard and
+	// columnar operators always compile their expressions, and row
+	// operators always interpret theirs.
 	Vec bool
 	// Spill aggregates graceful-degradation activity (partitions spilled,
 	// temp-run rows/pages written, recursion depth, merge fallbacks) across

@@ -17,7 +17,9 @@
 //
 // Every charge goes to the deterministic cost Clock (internal/storage), so
 // the three paths are property-tested to produce byte-identical rows and
-// identical cost totals.
+// identical cost totals. Every hash join on every path — and the sharded
+// and spilling ones — runs one kernel (hashjoin.go): one build insert, one
+// bucket lookup, one match step.
 //
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash
 // join, hash aggregation, external sort) request grants counted in rows and

@@ -78,11 +78,11 @@ func keyHasNull(k []types.Value) bool {
 	return false
 }
 
-// joinResidual is the one shared accept/charge step for post-join residual
-// predicates: evaluate the residual (if any) over the assembled output row
-// and charge the per-row work only for survivors. Every join variant —
-// equi-joins through emitJoined and the index nested-loop join directly —
-// funnels through it so the charge discipline cannot drift between copies.
+// joinResidual is the accept/charge step of the row-only joins (nested-loop,
+// merge, symmetric-hash, generalized and index nested-loop): evaluate the
+// residual (if any) over the assembled output row and charge the per-row
+// work only for survivors. The hash joins run the same rule as the kernel's
+// match step (hashjoin.go).
 func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, out types.Row) (bool, error) {
 	if residual != nil {
 		ok, err := expr.EvalPredicate(residual, out, params)
@@ -94,12 +94,10 @@ func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, 
 	return true, nil
 }
 
-// emitJoined evaluates the residual and assembles the output row. It takes
-// the clock explicitly (rather than a Context) so parallel workers can
-// charge their shard clocks.
-func emitJoined(clk *storage.Clock, params []types.Value, node *plan.JoinNode, l, r types.Row) (types.Row, bool, error) {
+// emitJoined evaluates the residual and assembles the output row.
+func emitJoined(ctx *Context, node *plan.JoinNode, l, r types.Row) (types.Row, bool, error) {
 	out := types.Concat(l, r)
-	ok, err := joinResidual(clk, params, node.Residual, out)
+	ok, err := joinResidual(ctx.Clock, ctx.Params, node.Residual, out)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -112,156 +110,6 @@ func nullRow(n int) types.Row {
 		out[i] = types.Null()
 	}
 	return out
-}
-
-// ---------- hash join ----------
-
-// hashJoin builds a hash table on the right input and probes with the left.
-// If the build side exceeds the broker's grant, it becomes a hybrid hash
-// join: the build partitions by key hash, overflow partitions spill to temp
-// runs together with their probe rows, and the spilled pairs are joined
-// recursively after the in-memory probe phase (spillJoin).
-type hashJoin struct {
-	ctx   *Context
-	node  *plan.JoinNode
-	left  Operator
-	right Operator
-
-	table       map[uint64][]types.Row
-	spill       *spillJoin
-	grant       int
-	lrow        types.Row
-	lrowMatched bool
-	matches     []types.Row
-	midx        int
-	lDone       bool
-	rWidth      int
-	tail        []types.Row // deferred-partition output, emitted after the probe phase
-	tpos        int
-	finished    bool
-}
-
-func (j *hashJoin) Open() error {
-	// The build side drains before the probe side opens so that runtime
-	// filters derived from the completed build are already published when
-	// probe-side scans bind (indexScan materializes during Open).
-	build, err := drain(j.right)
-	if err != nil {
-		return err
-	}
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-	} else {
-		j.table = make(map[uint64][]types.Row, len(build))
-		for _, r := range build {
-			j.ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-			k := keyOf(r, j.node.RightKeys)
-			if keyHasNull(k) {
-				continue
-			}
-			h := types.HashRow(k)
-			j.table[h] = append(j.table[h], r)
-		}
-	}
-	j.lDone = false
-	j.matches = nil
-	j.tail, j.tpos, j.finished = nil, 0, false
-	return j.left.Open()
-}
-
-// bucket returns the hash-table candidates for a non-null probe key. Under
-// spill, rows of non-resident partitions are deferred to probe runs and
-// report ok=false — they produce their output (including left-outer null
-// extension) when the spilled partitions replay.
-func (j *hashJoin) bucket(lr types.Row, k []types.Value) ([]types.Row, bool) {
-	if j.spill != nil {
-		return j.spill.probe(lr, k)
-	}
-	return j.table[types.HashRow(k)], false
-}
-
-func (j *hashJoin) Next() (types.Row, bool, error) {
-	for {
-		if j.midx < len(j.matches) {
-			r := j.matches[j.midx]
-			j.midx++
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				j.lrowMatched = true
-				return out, true, nil
-			}
-			continue
-		}
-		// Left-outer: emit null-extended row when nothing matched.
-		if j.lrow != nil && j.node.Type == plan.LeftOuter && !j.lrowMatched {
-			out := types.Concat(j.lrow, nullRow(j.rWidth))
-			j.lrow = nil
-			j.ctx.Clock.RowWork(1)
-			return out, true, nil
-		}
-		if j.lDone {
-			if j.spill != nil && !j.finished {
-				j.finished = true
-				err := j.spill.finish(func(r types.Row) error {
-					j.tail = append(j.tail, r)
-					return nil
-				})
-				if err != nil {
-					return nil, false, err
-				}
-			}
-			if j.tpos < len(j.tail) {
-				r := j.tail[j.tpos]
-				j.tpos++
-				return r, true, nil
-			}
-			return nil, false, nil
-		}
-		lr, ok, err := j.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.lDone = true
-			continue
-		}
-		j.lrow = lr.Clone()
-		j.lrowMatched = false
-		j.ctx.Clock.Probes(1)
-		k := keyOf(j.lrow, j.node.LeftKeys)
-		j.matches = nil
-		j.midx = 0
-		if !keyHasNull(k) {
-			cands, deferred := j.bucket(j.lrow, k)
-			if deferred {
-				j.lrow = nil // resolved (matches and outer alike) in finish
-				continue
-			}
-			for _, cand := range cands {
-				if keysEqual(k, keyOf(cand, j.node.RightKeys)) {
-					j.matches = append(j.matches, cand)
-				}
-			}
-		}
-	}
-}
-
-func (j *hashJoin) Close() error {
-	j.table = nil
-	j.tail = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
-	return j.left.Close()
 }
 
 // ---------- nested-loop join ----------
@@ -323,7 +171,7 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 					continue
 				}
 			}
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
+			out, ok, err := emitJoined(j.ctx, j.node, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -414,7 +262,7 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 		if j.gi < len(j.group) {
 			r := j.group[j.gi]
 			j.gi++
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
+			out, ok, err := emitJoined(j.ctx, j.node, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -549,7 +397,7 @@ func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 		} else {
 			l, rr = cand, r
 		}
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, l, rr)
+		out, ok, err := emitJoined(j.ctx, j.node, l, rr)
 		if err != nil {
 			return err
 		}
@@ -615,7 +463,7 @@ func (j *gJoin) Open() error {
 	defer j.ctx.Mem.Release(grant)
 
 	emit := func(l, r types.Row) error {
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, l, r)
+		out, ok, err := emitJoined(j.ctx, j.node, l, r)
 		if err != nil {
 			return err
 		}

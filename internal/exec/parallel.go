@@ -48,37 +48,19 @@ func finishNode(ctx *Context, n plan.Node, actual float64) {
 	}
 }
 
-// compilePred compiles e when the context runs vectorized; a nil return
-// keeps the interpreted path. Morsel operators call this at Open so the
-// one-time compile is paid off across every morsel.
-func compilePred(ctx *Context, e expr.Expr) *expr.Pred {
-	if !ctx.Vec || e == nil {
+// compilePred compiles e, or returns nil when there is no predicate.
+// Morsel, shard and columnar operators call this at Open so the one-time
+// compile is paid off across every morsel.
+func compilePred(e expr.Expr) *expr.Pred {
+	if e == nil {
 		return nil
 	}
 	return expr.CompilePredicate(e)
 }
 
-// scanMorsel reads one morsel of a table, charging clk exactly as the
-// serial scan would (one sequential read per page, CPU per examined row),
-// and hands rows passing the filter to emit. pred, when non-nil, is the
-// compiled form of node.Filter; rf, when non-nil, is the scan's bound
-// runtime-filter consumer (rejects pay only the membership test, on the
-// worker's shard clock). col, when non-nil, is the scan's columnar core: a
-// morsel is then one column block, scanned through the shared block core
-// with charges identical to the serial columnar scan's. The emitted row is
-// the heap's (or a freshly materialized columnar row) — valid only until
-// the query ends and never to be mutated.
-func scanMorsel(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, emit func(types.Row) error) error {
-	if col != nil {
-		return col.scanBlock(m, clk, emit)
-	}
-	lo, hi := morselRange(m, MorselPages, npages)
-	return scanPageRange(ctx, node, pred, rf, lo, hi, clk, emit)
-}
-
 // scanPageRange scans the heap pages [lo, hi) of a table with the exact
 // serial-scan charge discipline (one sequential read per page, runtime
-// filters before per-row CPU). scanMorsel delegates here; the sharded
+// filters before per-row CPU). morselSource.feed delegates here; the sharded
 // co-located join path uses it directly with a partition's page range.
 func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock, emit func(types.Row) error) error {
 	var emitErr error
@@ -90,15 +72,6 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfCon
 			clk.RowWork(1)
 			if pred != nil {
 				ok, err := pred.Eval(r, ctx.Params)
-				if err != nil {
-					emitErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-			} else if node.Filter != nil {
-				ok, err := expr.EvalPredicate(node.Filter, r, ctx.Params)
 				if err != nil {
 					emitErr = err
 					return false
@@ -120,6 +93,80 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfCon
 	return nil
 }
 
+// morselSource is a morsel operator's input: a fused scan's morsels (page
+// ranges or column blocks, with serial-scan charges) or MorselRows-row
+// chunks of a drained child.
+type morselSource struct {
+	n    int
+	rows []types.Row // the drained child; unused over a scan
+
+	ctx     *Context
+	scan    *plan.ScanNode // nil over a drained child
+	pred    *expr.Pred
+	rf      *rfConsumer
+	col     *colScanner
+	npages  int
+	scanned atomic.Int64
+}
+
+// scanSource binds a fused scan — filter compiled, runtime filters bound,
+// columnar core resolved so block pruning sees them — as a morsel source.
+func scanSource(ctx *Context, node *plan.ScanNode) *morselSource {
+	s := &morselSource{ctx: ctx, scan: node, pred: compilePred(node.Filter)}
+	s.rf = bindRuntimeFilters(ctx, node.RFConsume)
+	s.col = colScannerFor(ctx, node, s.rf)
+	s.n, s.npages = scanGeometry(node, s.col)
+	return s
+}
+
+// drainSource drains op (which drain also closes) into a morsel source.
+func drainSource(op Operator) (*morselSource, error) {
+	rows, err := drain(op)
+	if err != nil {
+		return nil, err
+	}
+	return &morselSource{n: morselCount(len(rows), MorselRows), rows: rows}, nil
+}
+
+// feed hands morsel m's rows to fn, charging clk. A scan morsel is charged
+// exactly as the serial scan would charge it: a page range through
+// scanPageRange, or one column block through the shared block core; its
+// rows are the heap's (or freshly materialized columnar rows), valid until
+// the query ends and never to be mutated.
+func (s *morselSource) feed(m int, clk *storage.Clock, fn func(types.Row) error) error {
+	if s.scan == nil {
+		lo, hi := morselRange(m, MorselRows, len(s.rows))
+		for _, r := range s.rows[lo:hi] {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	rows := int64(0)
+	count := func(r types.Row) error {
+		rows++
+		return fn(r)
+	}
+	var err error
+	if s.col != nil {
+		err = s.col.scanBlock(m, clk, count)
+	} else {
+		lo, hi := morselRange(m, MorselPages, s.npages)
+		err = scanPageRange(s.ctx, s.scan, s.pred, s.rf, lo, hi, clk, count)
+	}
+	s.scanned.Add(rows)
+	return err
+}
+
+// done records a fused scan's observed cardinality once every morsel has
+// run, as the counted wrapper would have for a standalone scan.
+func (s *morselSource) done() {
+	if s.scan != nil {
+		finishNode(s.ctx, s.scan, float64(s.scanned.Load()))
+	}
+}
+
 // ---------- parallel scan ----------
 
 // parallelScan splits a sequential scan into fixed page-range morsels
@@ -134,14 +181,11 @@ type parallelScan struct {
 }
 
 func (s *parallelScan) Open() error {
-	pred := compilePred(s.ctx, s.node.Filter)
-	rf := bindRuntimeFilters(s.ctx, s.node.RFConsume)
-	col := colScannerFor(s.ctx, s.node, rf)
-	n, npages := scanGeometry(s.node, col)
-	s.x.reset(n)
-	return runMorsels(s.ctx, s.node.Label(), n, s.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
+	src := scanSource(s.ctx, s.node) // the counted wrapper records cardinality, not done
+	s.x.reset(src.n)
+	return runMorsels(s.ctx, s.node.Label(), src.n, s.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
 		rows := getMorselBuf()
-		err := scanMorsel(s.ctx, s.node, pred, rf, col, m, npages, clk, func(r types.Row) error {
+		err := src.feed(m, clk, func(r types.Row) error {
 			rows = append(rows, r)
 			return nil
 		})
@@ -172,15 +216,6 @@ type hashedRow struct {
 	r types.Row
 }
 
-// probeScratch is one morsel's reusable probe-side workspace: key buffers
-// and a scratch output row, so steady-state probing allocates nothing.
-type probeScratch struct {
-	key   []types.Value
-	ckey  []types.Value
-	buf   types.Row
-	nulls types.Row
-}
-
 // parallelHashJoin is the morsel-driven hash join. The build side is
 // drained once, hashed in parallel morsels, and repartitioned into one
 // hash-table shard per worker at a gather barrier; probe-side morsels then
@@ -198,39 +233,27 @@ type parallelHashJoin struct {
 	left  Operator       // probe child when not fused
 	right Operator
 
-	dop      int
-	parts    []map[uint64][]types.Row
-	spill    *spillJoin // set when the build exceeded its grant
-	grant    int
-	rWidth   int
-	emitted  int64
-	x        exchange
-	scanPred *expr.Pred  // compiled fused-scan filter (vectorized runs)
-	scanRF   *rfConsumer // fused scan's runtime filters, bound after the build
-	scanCol  *colScanner // fused scan's columnar core (nil for heap scans)
-	residual *expr.Pred  // compiled residual (vectorized runs)
-	scratch  sync.Pool   // *probeScratch, reused across morsels
+	dop     int
+	kern    *joinKernel
+	tab     *joinTable    // one part per worker, or spilling
+	src     *morselSource // the probe side, readied after the build
+	emitted int64
+	x       exchange
+	scratch sync.Pool // *probeScratch, reused across morsels
 }
 
-// openBuild drains the build side and erects the partitioned hash table.
-// It is Open minus the probe phase, so an enclosing fused aggregation can
-// drive the probe morsels itself.
+// openBuild drains the build side, erects the partitioned hash table and
+// readies the probe side. It is Open minus the probe phase, so an enclosing
+// fused aggregation can drive the probe morsels itself.
 func (j *parallelHashJoin) openBuild() error {
-	j.dop = j.ctx.DOP
-	if j.dop < 1 {
-		j.dop = 1
-	}
-	if j.scan != nil {
-		j.scanPred = compilePred(j.ctx, j.scan.Filter)
-	}
-	j.residual = compilePred(j.ctx, j.node.Residual)
+	j.dop = max(j.ctx.DOP, 1)
+	j.kern = newJoinKernel(j.ctx, j.node, true)
 	build, err := drain(j.right)
 	if err != nil {
 		return err
 	}
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
+	grant := j.ctx.Mem.Grant(len(build))
+	if len(build) > grant {
 		// Graceful degradation trades parallelism for robustness: the build
 		// delegates to the serial spill machinery and the probe phase runs
 		// inline on the context clock (probeSerialSpill) — correct results
@@ -238,97 +261,48 @@ func (j *parallelHashJoin) openBuild() error {
 		// Runtime filters derive serially from the drained build first, so
 		// the probe-side scans still shrink the spilled probe volume.
 		buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-		j.bindScanRF()
-		return nil
-	}
-	if err := j.buildPartitions(build); err != nil {
+		j.tab = newJoinTable(j.ctx, j.kern, j.node, build, grant, 0)
+	} else if err := j.buildPartitions(build, grant); err != nil {
+		j.ctx.Mem.Release(grant)
 		return err
 	}
-	j.bindScanRF()
-	return nil
+	return j.openProbe()
 }
 
-// bindScanRF binds the fused probe scan's runtime filters once the build has
-// published its own — including the filter this very join produced, which is
-// the common consumer — and resolves the scan's columnar core so block-level
-// pruning sees the bound filters.
-func (j *parallelHashJoin) bindScanRF() {
+// openProbe readies the probe side once the build has published its
+// runtime filters — including the filter this very join produced, which a
+// fused scan commonly consumes: the fused scan, or the drained probe child.
+func (j *parallelHashJoin) openProbe() error {
 	if j.scan != nil {
-		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume)
-		j.scanCol = colScannerFor(j.ctx, j.scan, j.scanRF)
+		j.src = scanSource(j.ctx, j.scan)
+		return nil
 	}
+	var err error
+	j.src, err = drainSource(j.left)
+	j.left = nil // drained and closed; Close must not close it again
+	return err
 }
 
 // probeSerialSpill is the memory-pressure probe phase: every probe row is
-// handled serially on the context clock through the spill machinery — rows
+// handled serially on the context clock through the spilling table — rows
 // of resident partitions match immediately, the rest defer to probe runs —
 // and the spilled partitions then replay. Every joined (and, for
 // left-outer, null-extended) row goes to sink in serial-identical order
-// with serial-identical charges.
+// with serial-identical charges; as with probeEach, sink's row is scratch.
 func (j *parallelHashJoin) probeSerialSpill(sink func(types.Row) error) error {
-	probeRow := func(lr types.Row) error {
-		j.ctx.Clock.Probes(1)
-		k := keyOf(lr, j.node.LeftKeys)
-		matched := false
-		if !keyHasNull(k) {
-			bucket, deferred := j.spill.probe(lr, k)
-			if deferred {
-				return nil // resolved (matches and outer alike) in finish
-			}
-			for _, cand := range bucket {
-				if !keysEqual(k, keyOf(cand, j.node.RightKeys)) {
-					continue
-				}
-				out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, lr, cand)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					atomic.AddInt64(&j.emitted, 1)
-					if err := sink(out); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if j.node.Type == plan.LeftOuter && !matched {
-			j.ctx.Clock.RowWork(1)
-			atomic.AddInt64(&j.emitted, 1)
-			return sink(types.Concat(lr, nullRow(j.rWidth)))
-		}
-		return nil
-	}
-	if j.scan != nil {
-		n, npages := scanGeometry(j.scan, j.scanCol)
-		scanned := 0
-		for m := 0; m < n; m++ {
-			err := scanMorsel(j.ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, j.ctx.Clock, func(lr types.Row) error {
-				scanned++
-				return probeRow(lr)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		finishNode(j.ctx, j.scan, float64(scanned))
-	} else {
-		lrows, err := drain(j.left)
-		j.left = nil
-		if err != nil {
-			return err
-		}
-		for _, lr := range lrows {
-			if err := probeRow(lr); err != nil {
-				return err
-			}
-		}
-	}
-	return j.spill.finish(func(r types.Row) error {
+	st := j.kern.newScratch()
+	count := func(r types.Row) error {
 		atomic.AddInt64(&j.emitted, 1)
 		return sink(r)
-	})
+	}
+	probe := func(lr types.Row) error { return j.probeEach(lr, j.ctx.Clock, st, count) }
+	for m := 0; m < j.src.n; m++ {
+		if err := j.src.feed(m, j.ctx.Clock, probe); err != nil {
+			return err
+		}
+	}
+	j.src.done()
+	return j.tab.finish(count)
 }
 
 func (j *parallelHashJoin) Open() error {
@@ -339,14 +313,14 @@ func (j *parallelHashJoin) Open() error {
 }
 
 // buildPartitions runs the two build phases: (1) parallel morsels hash
-// every build row into per-morsel vectors, charging the serial join's
-// insert cost — and, when the plan announced runtime filters, fill one
-// partial Bloom per filter per morsel; (2) each worker assembles its own
+// every build row into per-morsel vectors through the kernel's build
+// insert — and, when the plan announced runtime filters, fill one partial
+// Bloom per filter per morsel; (2) each worker assembles its own
 // hash-range shard by sweeping the vectors in morsel order, so bucket
 // chains preserve build order and probing stays deterministic. Partial
 // Blooms are OR-merged in morsel order at the same gather barrier and
 // published before any probe morsel can run.
-func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
+func (j *parallelHashJoin) buildPartitions(build []types.Row, grant int) error {
 	n := morselCount(len(build), MorselRows)
 	pairs := make([][]hashedRow, n)
 	nf := 0
@@ -373,15 +347,12 @@ func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
 			clk.FilterTestsBatch((hi - lo) * nf)
 		}
 		for _, r := range build[lo:hi] {
-			clk.Probes(2) // insert costs double a probe (see cost model)
 			for i, sp := range j.node.RFilters[:nf] {
 				fs[i].add(r[j.node.RightKeys[sp.Col]])
 			}
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				continue
+			if h, ok := j.kern.insert(clk, key, r); ok {
+				ps = append(ps, hashedRow{h, r})
 			}
-			ps = append(ps, hashedRow{types.HashRow(key), r})
 		}
 		if nf > 0 {
 			rfParts[m] = fs
@@ -402,9 +373,9 @@ func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
 			j.ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d partials=%d", f.ID, len(build), len(f.words)*64, n))
 		}
 	}
-	j.parts = make([]map[uint64][]types.Row, j.dop)
+	parts := make([]map[uint64][]types.Row, j.dop)
 	dop := uint64(j.dop)
-	return runMorsels(j.ctx, j.node.Label()+" partition", j.dop, j.dop, func(w int, _ *storage.Clock) (int, error) {
+	err = runMorsels(j.ctx, j.node.Label()+" partition", j.dop, j.dop, func(w int, _ *storage.Clock) (int, error) {
 		tab := map[uint64][]types.Row{}
 		for _, ps := range pairs {
 			for _, p := range ps {
@@ -413,18 +384,14 @@ func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
 				}
 			}
 		}
-		j.parts[w] = tab
+		parts[w] = tab
 		return 0, nil
 	})
-}
-
-func (j *parallelHashJoin) newScratch() *probeScratch {
-	return &probeScratch{
-		key:   make([]types.Value, len(j.node.LeftKeys)),
-		ckey:  make([]types.Value, len(j.node.RightKeys)),
-		buf:   make(types.Row, 0, len(j.node.Schema())),
-		nulls: nullRow(j.rWidth),
+	if err != nil {
+		return err
 	}
+	j.tab = &joinTable{parts: parts, grant: grant}
+	return nil
 }
 
 // getScratch hands out a pooled probeScratch; putScratch returns it when the
@@ -434,69 +401,27 @@ func (j *parallelHashJoin) getScratch() *probeScratch {
 	if st, ok := j.scratch.Get().(*probeScratch); ok {
 		return st
 	}
-	return j.newScratch()
+	return j.kern.newScratch()
 }
 
 func (j *parallelHashJoin) putScratch(st *probeScratch) { j.scratch.Put(st) }
 
-// probeEach probes one left row against the shards and hands every joined
-// (and, for left-outer, null-extended) row to sink. The row passed to sink
-// is st.buf — a scratch reused on the next call; sinks that keep rows must
-// clone. Charges mirror the serial hashJoin probe exactly: one probe per
-// left row before the null check, one unit of row work per emitted row.
+// probeEach charges one probe and runs left row lr through the join kernel
+// (hashjoin.go), handing every joined (and, for left-outer, null-extended)
+// row to sink. The row passed to sink is st.buf — a scratch reused on the
+// next call; sinks that keep rows must clone.
 func (j *parallelHashJoin) probeEach(lr types.Row, clk *storage.Clock, st *probeScratch, sink func(types.Row) error) error {
 	clk.Probes(1)
-	keyInto(st.key, lr, j.node.LeftKeys)
-	matched := false
-	if !keyHasNull(st.key) {
-		h := types.HashRow(st.key)
-		for _, cand := range j.parts[h%uint64(j.dop)][h] {
-			keyInto(st.ckey, cand, j.node.RightKeys)
-			if !keysEqual(st.key, st.ckey) {
-				continue
-			}
-			st.buf = append(append(st.buf[:0], lr...), cand...)
-			if j.residual != nil {
-				ok, err := j.residual.Eval(st.buf, j.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			} else if j.node.Residual != nil {
-				ok, err := expr.EvalPredicate(j.node.Residual, st.buf, j.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			clk.RowWork(1)
-			matched = true
-			if err := sink(st.buf); err != nil {
-				return err
-			}
-		}
-	}
-	if j.node.Type == plan.LeftOuter && !matched {
-		st.buf = append(append(st.buf[:0], lr...), st.nulls...)
-		clk.RowWork(1)
-		if err := sink(st.buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.kern.probe(clk, st, j.tab, lr, sink)
 }
 
 // probe runs the probe phase into the exchange (the standalone operator
 // path; a fused aggregation bypasses this entirely).
 func (j *parallelHashJoin) probe() error {
-	if j.spill != nil {
+	if j.tab.spill != nil {
 		out := getMorselBuf()
 		err := j.probeSerialSpill(func(r types.Row) error {
-			out = append(out, r)
+			out = append(out, r.Clone())
 			return nil
 		})
 		if err != nil {
@@ -507,61 +432,28 @@ func (j *parallelHashJoin) probe() error {
 		j.x.set(0, out)
 		return nil
 	}
-	if j.scan != nil {
-		n, npages := scanGeometry(j.scan, j.scanCol)
-		j.x.reset(n)
-		var scanned int64
-		err := runMorsels(j.ctx, j.node.Label()+" probe", n, j.dop, func(m int, clk *storage.Clock) (int, error) {
-			st := j.getScratch()
-			defer j.putScratch(st)
-			out := getMorselBuf()
-			rows := 0
-			err := scanMorsel(j.ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clk, func(lr types.Row) error {
-				rows++
-				return j.probeEach(lr, clk, st, func(r types.Row) error {
-					out = append(out, r.Clone())
-					return nil
-				})
-			})
-			if err != nil {
-				putMorselBuf(out)
-				return 0, err
-			}
-			atomic.AddInt64(&scanned, int64(rows))
-			j.x.set(m, out)
-			return len(out), nil
-		})
-		if err != nil {
-			return err
-		}
-		finishNode(j.ctx, j.scan, float64(atomic.LoadInt64(&scanned)))
-		return nil
-	}
-	lrows, err := drain(j.left)
-	j.left = nil // drained and closed; Close must not close it again
-	if err != nil {
-		return err
-	}
-	n := morselCount(len(lrows), MorselRows)
-	j.x.reset(n)
-	return runMorsels(j.ctx, j.node.Label()+" probe", n, j.dop, func(m int, clk *storage.Clock) (int, error) {
+	j.x.reset(j.src.n)
+	err := runMorsels(j.ctx, j.node.Label()+" probe", j.src.n, j.dop, func(m int, clk *storage.Clock) (int, error) {
 		st := j.getScratch()
 		defer j.putScratch(st)
-		lo, hi := morselRange(m, MorselRows, len(lrows))
 		out := getMorselBuf()
-		for _, lr := range lrows[lo:hi] {
-			err := j.probeEach(lr, clk, st, func(r types.Row) error {
-				out = append(out, r.Clone())
-				return nil
-			})
-			if err != nil {
-				putMorselBuf(out)
-				return 0, err
-			}
+		keep := func(types.Row) error {
+			out = append(out, st.take())
+			return nil
+		}
+		err := j.src.feed(m, clk, func(lr types.Row) error { return j.probeEach(lr, clk, st, keep) })
+		if err != nil {
+			putMorselBuf(out)
+			return 0, err
 		}
 		j.x.set(m, out)
 		return len(out), nil
 	})
+	if err != nil {
+		return err
+	}
+	j.src.done()
+	return nil
 }
 
 func (j *parallelHashJoin) Next() (types.Row, bool, error) {
@@ -572,13 +464,8 @@ func (j *parallelHashJoin) Next() (types.Row, bool, error) {
 // release frees the hash shards (or spill state) and returns the memory
 // grant.
 func (j *parallelHashJoin) release() {
-	j.parts = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
+	j.tab.close(j.ctx.Mem)
+	j.tab = nil
 }
 
 func (j *parallelHashJoin) Close() error {
@@ -602,18 +489,29 @@ func newAggPartial() *aggPartial {
 	return &aggPartial{groups: map[uint64][]*group{}}
 }
 
-// groupFor finds or creates the group for key, cloning the key only on
-// creation (the caller's key buffer is reused across rows).
-func (p *aggPartial) groupFor(key []types.Value, hash uint64, naggs int) *group {
-	for _, cand := range p.groups[hash] {
+// find and add are the find-or-create step every hash aggregation shares
+// (aggSink.add, parallelAgg.accumRow, mergePartials). find returns key's
+// group in bucket h, or nil.
+func (p *aggPartial) find(key []types.Value, h uint64) *group {
+	for _, cand := range p.groups[h] {
 		if rowsEqual(cand.key, key) {
 			return cand
 		}
 	}
-	g := &group{key: append([]types.Value(nil), key...), states: make([]aggState, naggs)}
-	p.groups[hash] = append(p.groups[hash], g)
+	return nil
+}
+
+// add enters g as the group of bucket h, in first-seen order.
+func (p *aggPartial) add(g *group, h uint64) *group {
+	p.groups[h] = append(p.groups[h], g)
 	p.order = append(p.order, g)
 	return g
+}
+
+// newGroup returns an empty group for key, cloning the key (callers reuse
+// their key buffer across rows).
+func newGroup(key []types.Value, naggs int) *group {
+	return &group{key: append([]types.Value(nil), key...), states: make([]aggState, naggs)}
 }
 
 // parallelAgg runs hash aggregation as per-morsel partial group states
@@ -636,117 +534,75 @@ type parallelAgg struct {
 	join  *parallelHashJoin // fused input join (exclusive with scan/child)
 	child Operator          // generic input (exclusive with scan/join)
 
-	groupFns []expr.EvalFn // compiled group expressions (vectorized runs)
-	argFns   []expr.EvalFn // compiled aggregate arguments (vectorized runs)
+	groupFns []expr.EvalFn // compiled group expressions
+	argFns   []expr.EvalFn // compiled aggregate arguments
 
 	out []types.Row
 	pos int
-}
-
-// compileFns lowers the group and aggregate-argument expressions once at
-// Open when the context runs vectorized; interpreted otherwise.
-func (a *parallelAgg) compileFns() {
-	if !a.ctx.Vec {
-		return
-	}
-	a.groupFns = expr.CompileAll(a.node.GroupExprs)
-	a.argFns = make([]expr.EvalFn, len(a.node.Aggs))
-	for i, spec := range a.node.Aggs {
-		if !spec.Star {
-			a.argFns[i] = expr.Compile(spec.Arg)
-		}
-	}
 }
 
 // accumRow folds one input row into a partial, charging the serial
 // hashAgg's per-row probe. key is the caller's scratch group-key buffer.
 func (a *parallelAgg) accumRow(p *aggPartial, r types.Row, key []types.Value, clk *storage.Clock) error {
 	clk.Probes(1)
-	if a.argFns != nil { // vectorized: compiled group and argument exprs
-		for i, fn := range a.groupFns {
-			v, err := fn(r, a.ctx.Params)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		g := p.groupFor(key, types.HashRow(key), len(a.node.Aggs))
-		return accumGroupFns(g, a.node, a.argFns, r, a.ctx.Params)
+	if err := evalGroupKey(key, a.groupFns, r, a.ctx.Params); err != nil {
+		return err
 	}
-	for i, ge := range a.node.GroupExprs {
-		v, err := ge.Eval(r, a.ctx.Params)
-		if err != nil {
-			return err
-		}
-		key[i] = v
+	h := types.HashRow(key)
+	g := p.find(key, h)
+	if g == nil {
+		g = p.add(newGroup(key, len(a.node.Aggs)), h)
 	}
-	g := p.groupFor(key, types.HashRow(key), len(a.node.Aggs))
-	return accumGroup(g, a.node, r, a.ctx.Params)
+	return accumGroupFns(g, a.node, a.argFns, r, a.ctx.Params)
 }
 
 func (a *parallelAgg) Open() error {
-	a.compileFns()
+	a.groupFns, a.argFns = compileAgg(a.node)
 	var (
 		partials []*aggPartial
 		err      error
 	)
-	switch {
-	case a.scan != nil:
-		partials, err = a.partialsFromScan()
-	case a.join != nil:
+	if a.join != nil {
 		partials, err = a.partialsFromJoin()
-	default:
-		partials, err = a.partialsFromChild()
+	} else {
+		partials, err = a.partialsFromInput()
 	}
 	if err != nil {
 		return err
 	}
-	order := a.mergePartials(partials)
-	// Global aggregate with no groups and no input still yields one row.
-	if len(order) == 0 && len(a.node.GroupExprs) == 0 {
-		order = append(order, &group{states: make([]aggState, len(a.node.Aggs))})
-	}
-	sortGroups(order)
-	a.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		a.ctx.Clock.RowWork(1)
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(a.node.Aggs[i]))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = finalizeGroups(a.node, a.mergePartials(partials), a.ctx.Clock)
 	a.pos = 0
 	return nil
 }
 
-func (a *parallelAgg) partialsFromScan() ([]*aggPartial, error) {
-	pred := compilePred(a.ctx, a.scan.Filter)
-	rf := bindRuntimeFilters(a.ctx, a.scan.RFConsume)
-	col := colScannerFor(a.ctx, a.scan, rf)
-	n, npages := scanGeometry(a.scan, col)
-	partials := make([]*aggPartial, n)
-	var scanned int64
-	err := runMorsels(a.ctx, a.node.Label(), n, a.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
+// partialsFromInput accumulates the fused scan's morsels, or MorselRows
+// chunks of the drained child, into one partial per morsel.
+func (a *parallelAgg) partialsFromInput() ([]*aggPartial, error) {
+	var src *morselSource
+	if a.scan != nil {
+		src = scanSource(a.ctx, a.scan)
+	} else {
+		var err error
+		src, err = drainSource(a.child)
+		a.child = nil // drained and closed; Close must not close it again
+		if err != nil {
+			return nil, err
+		}
+	}
+	partials := make([]*aggPartial, src.n)
+	err := runMorsels(a.ctx, a.node.Label(), src.n, a.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
 		p := newAggPartial()
 		key := make([]types.Value, len(a.node.GroupExprs))
-		rows := 0
-		err := scanMorsel(a.ctx, a.scan, pred, rf, col, m, npages, clk, func(r types.Row) error {
-			rows++
-			return a.accumRow(p, r, key, clk)
-		})
-		if err != nil {
+		if err := src.feed(m, clk, func(r types.Row) error { return a.accumRow(p, r, key, clk) }); err != nil {
 			return 0, err
 		}
-		atomic.AddInt64(&scanned, int64(rows))
 		partials[m] = p
 		return len(p.order), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	finishNode(a.ctx, a.scan, float64(atomic.LoadInt64(&scanned)))
+	src.done()
 	return partials, nil
 }
 
@@ -758,7 +614,8 @@ func (a *parallelAgg) partialsFromJoin() ([]*aggPartial, error) {
 	if err := jn.openBuild(); err != nil {
 		return nil, err
 	}
-	if jn.spill != nil {
+	var partials []*aggPartial
+	if jn.tab.spill != nil {
 		// Build spilled: the fused pipeline degrades to a serial
 		// probe-and-replay feeding one partial, keeping results and charges
 		// serial-identical under pressure.
@@ -770,98 +627,31 @@ func (a *parallelAgg) partialsFromJoin() ([]*aggPartial, error) {
 		if err != nil {
 			return nil, err
 		}
-		finishNode(a.ctx, jn.node, float64(atomic.LoadInt64(&jn.emitted)))
-		jn.release()
-		return []*aggPartial{p}, nil
-	}
-	accum := func(p *aggPartial, key []types.Value, clk *storage.Clock) func(types.Row) error {
-		return func(r types.Row) error {
-			atomic.AddInt64(&jn.emitted, 1)
-			return a.accumRow(p, r, key, clk)
-		}
-	}
-	var partials []*aggPartial
-	if jn.scan != nil {
-		n, npages := scanGeometry(jn.scan, jn.scanCol)
-		partials = make([]*aggPartial, n)
-		var scanned int64
-		err := runMorsels(a.ctx, a.node.Label(), n, jn.dop, func(m int, clk *storage.Clock) (int, error) {
+		partials = []*aggPartial{p}
+	} else {
+		partials = make([]*aggPartial, jn.src.n)
+		err := runMorsels(a.ctx, a.node.Label(), jn.src.n, jn.dop, func(m int, clk *storage.Clock) (int, error) {
 			st := jn.getScratch()
 			defer jn.putScratch(st)
 			p := newAggPartial()
 			key := make([]types.Value, len(a.node.GroupExprs))
-			sink := accum(p, key, clk)
-			rows := 0
-			err := scanMorsel(a.ctx, jn.scan, jn.scanPred, jn.scanRF, jn.scanCol, m, npages, clk, func(lr types.Row) error {
-				rows++
-				return jn.probeEach(lr, clk, st, sink)
-			})
-			if err != nil {
+			accum := func(r types.Row) error {
+				atomic.AddInt64(&jn.emitted, 1)
+				return a.accumRow(p, r, key, clk)
+			}
+			if err := jn.src.feed(m, clk, func(lr types.Row) error { return jn.probeEach(lr, clk, st, accum) }); err != nil {
 				return 0, err
 			}
-			atomic.AddInt64(&scanned, int64(rows))
 			partials[m] = p
 			return len(p.order), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		finishNode(a.ctx, jn.scan, float64(atomic.LoadInt64(&scanned)))
-	} else {
-		lrows, err := drain(jn.left)
-		jn.left = nil
-		if err != nil {
-			return nil, err
-		}
-		n := morselCount(len(lrows), MorselRows)
-		partials = make([]*aggPartial, n)
-		err = runMorsels(a.ctx, a.node.Label(), n, jn.dop, func(m int, clk *storage.Clock) (int, error) {
-			st := jn.getScratch()
-			defer jn.putScratch(st)
-			p := newAggPartial()
-			key := make([]types.Value, len(a.node.GroupExprs))
-			sink := accum(p, key, clk)
-			lo, hi := morselRange(m, MorselRows, len(lrows))
-			for _, lr := range lrows[lo:hi] {
-				if err := jn.probeEach(lr, clk, st, sink); err != nil {
-					return 0, err
-				}
-			}
-			partials[m] = p
-			return len(p.order), nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		jn.src.done()
 	}
 	finishNode(a.ctx, jn.node, float64(atomic.LoadInt64(&jn.emitted)))
 	jn.release()
-	return partials, nil
-}
-
-func (a *parallelAgg) partialsFromChild() ([]*aggPartial, error) {
-	rows, err := drain(a.child)
-	a.child = nil // drained and closed; Close must not close it again
-	if err != nil {
-		return nil, err
-	}
-	n := morselCount(len(rows), MorselRows)
-	partials := make([]*aggPartial, n)
-	err = runMorsels(a.ctx, a.node.Label(), n, a.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
-		p := newAggPartial()
-		key := make([]types.Value, len(a.node.GroupExprs))
-		lo, hi := morselRange(m, MorselRows, len(rows))
-		for _, r := range rows[lo:hi] {
-			if err := a.accumRow(p, r, key, clk); err != nil {
-				return 0, err
-			}
-		}
-		partials[m] = p
-		return len(p.order), nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return partials, nil
 }
 
@@ -870,24 +660,16 @@ func (a *parallelAgg) partialsFromChild() ([]*aggPartial, error) {
 // morsels; the merge itself is free on the clock, exactly like the serial
 // hashAgg's in-table accumulation.
 func (a *parallelAgg) mergePartials(partials []*aggPartial) []*group {
-	merged := map[uint64][]*group{}
-	var order []*group
+	merged := newAggPartial()
 	for _, p := range partials {
 		if p == nil {
 			continue
 		}
 		for _, g := range p.order {
 			h := types.HashRow(g.key)
-			var dst *group
-			for _, cand := range merged[h] {
-				if rowsEqual(cand.key, g.key) {
-					dst = cand
-					break
-				}
-			}
+			dst := merged.find(g.key, h)
 			if dst == nil {
-				merged[h] = append(merged[h], g)
-				order = append(order, g)
+				merged.add(g, h)
 				continue
 			}
 			for i := range dst.states {
@@ -895,7 +677,7 @@ func (a *parallelAgg) mergePartials(partials []*aggPartial) []*group {
 			}
 		}
 	}
-	return order
+	return merged.order
 }
 
 func (a *parallelAgg) Next() (types.Row, bool, error) {

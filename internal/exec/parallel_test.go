@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -45,7 +46,8 @@ func buildParallelCatalog(t testing.TB) *catalog.Catalog {
 }
 
 // parallelQueries covers the morsel-driven repertoire: plain and filtered
-// scans, two- and three-way hash joins, left outer join, global and grouped
+// scans, two- and three-way hash joins, left outer join, residual join
+// predicates (inner and in a LEFT JOIN ... ON), global and grouped
 // aggregation, DISTINCT and AVG.
 var parallelQueries = []string{
 	`SELECT pa.v FROM pa WHERE pa.v < 600`,
@@ -57,6 +59,8 @@ var parallelQueries = []string{
 	`SELECT AVG(pa.v) FROM pa`,
 	`SELECT pa.v, pb.v FROM pa LEFT JOIN pb ON pa.k = pb.k`,
 	`SELECT pb.g, COUNT(*) FROM pa, pb WHERE pa.k = pb.k GROUP BY pb.g`,
+	`SELECT pa.v, pb.v FROM pa, pb WHERE pa.k = pb.k AND pb.v < pa.v`,
+	`SELECT pa.v, pb.v FROM pa LEFT JOIN pb ON pa.k = pb.k AND pb.v < pa.v`,
 }
 
 // parallelPlanFor optimizes q and forces every join and aggregation onto
@@ -195,5 +199,33 @@ func TestMarkParallelFloor(t *testing.T) {
 	second := plan.MarkParallel(root, 1)
 	if first == 0 || first != second {
 		t.Errorf("MarkParallel not idempotent: first=%d second=%d", first, second)
+	}
+}
+
+// TestHashJoinChargesPerPulledRow pins the row hash join's pull-based
+// charging: a match's row work is charged only when the parent pulls it,
+// so under LIMIT k each further output row costs exactly the join's and the
+// projection's unit of row work, even when one probe row has several
+// candidate matches (or a residual rejects some of them).
+func TestHashJoinChargesPerPulledRow(t *testing.T) {
+	cat := buildParallelCatalog(t)
+	for _, cond := range []string{"", " AND pb.v < pa.v"} {
+		prev := int64(-1)
+		for k := 1; k <= 3; k++ {
+			q := fmt.Sprintf(`SELECT pa.v, pb.v FROM pa, pb WHERE pa.k = pb.k%s LIMIT %d`, cond, k)
+			ctx := NewContext()
+			rows, err := Run(parallelPlanFor(t, cat, q), ctx)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			if len(rows) != k {
+				t.Fatalf("%q: %d rows, want %d", q, len(rows), k)
+			}
+			_, _, _, work := ctx.Clock.Counters()
+			if prev >= 0 && work-prev != 2 {
+				t.Errorf("%q: row work grew by %d from LIMIT %d, want 2", q, work-prev, k-1)
+			}
+			prev = work
+		}
 	}
 }

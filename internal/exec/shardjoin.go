@@ -2,9 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -40,11 +38,8 @@ type shardedHashJoin struct {
 	n        int
 	mode     plan.ShuffleMode
 	grant    int
-	rWidth   int
-	scanPred *expr.Pred
-	scanRF   *rfConsumer
-	scanCol  *colScanner
-	residual *expr.Pred
+	kern     *joinKernel
+	src      *morselSource     // the fused probe scan, bound after the build
 	fallback *parallelHashJoin // degraded path under memory pressure
 	out      []types.Row
 	pos      int
@@ -56,8 +51,7 @@ func (j *shardedHashJoin) Open() error {
 		j.n = 1
 	}
 	j.mode = j.node.Shuffle
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.residual = compilePred(j.ctx, j.node.Residual)
+	j.kern = newJoinKernel(j.ctx, j.node, true)
 	if j.mode == plan.ShuffleColocated && !j.colocatedValid() {
 		// The partitioned layout vanished between planning and execution
 		// (DML drops it); repartitioning is always correct.
@@ -103,7 +97,7 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	if j.right != nil {
 		return drain(j.right)
 	}
-	pred := compilePred(j.ctx, j.buildScan.Filter)
+	pred := compilePred(j.buildScan.Filter)
 	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume)
 	var rows []types.Row
 	np := j.buildScan.Table.Heap.NumPages()
@@ -118,13 +112,11 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	return rows, nil
 }
 
-// bindScan binds the fused probe scan's runtime filters (after the build
-// published its own) and resolves its columnar core.
+// bindScan binds the fused probe scan once the build has published its
+// runtime filters.
 func (j *shardedHashJoin) bindScan() {
 	if j.scan != nil {
-		j.scanPred = compilePred(j.ctx, j.scan.Filter)
-		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume)
-		j.scanCol = colScannerFor(j.ctx, j.scan, j.scanRF)
+		j.src = scanSource(j.ctx, j.scan)
 	}
 }
 
@@ -138,21 +130,14 @@ func (j *shardedHashJoin) degrade(build []types.Row) error {
 		j.ctx.Trace.Event("shuffle.degrade", fmt.Sprintf(
 			"build=%d grant=%d: shuffle bypassed for serial spill path", len(build), j.grant))
 	}
-	fb := &parallelHashJoin{ctx: j.ctx, node: j.node, scan: j.scan, left: j.left}
-	fb.dop = j.ctx.DOP
-	if fb.dop < 1 {
-		fb.dop = 1
-	}
-	if fb.scan != nil {
-		fb.scanPred = compilePred(j.ctx, fb.scan.Filter)
-	}
-	fb.residual = j.residual
-	fb.rWidth = j.rWidth
-	fb.grant, j.grant = j.grant, 0
-	fb.spill = newSpillJoin(j.ctx, j.node, build, fb.grant, fb.rWidth, 0)
-	fb.bindScanRF()
+	fb := &parallelHashJoin{ctx: j.ctx, node: j.node, scan: j.scan, left: j.left, dop: max(j.ctx.DOP, 1), kern: j.kern}
+	fb.tab = newJoinTable(j.ctx, j.kern, j.node, build, j.grant, 0)
+	j.grant = 0  // ownership moved to the fallback's table
 	j.left = nil // ownership moved to the fallback
 	j.fallback = fb
+	if err := fb.openProbe(); err != nil {
+		return err
+	}
 	return fb.probe()
 }
 
@@ -163,29 +148,14 @@ func (j *shardedHashJoin) spec(clks []*storage.Clock) ShuffleJoinSpec {
 		Shards:    j.n,
 		LeftKeys:  j.node.LeftKeys,
 		RightKeys: j.node.RightKeys,
-		LeftOuter: j.node.Type == plan.LeftOuter,
-		RWidth:    j.rWidth,
-		Residual:  j.residualFn(),
+		LeftOuter: j.kern.outer,
+		RWidth:    len(j.kern.nulls),
+		Residual:  j.kern.residual,
 		Model:     j.ctx.Clock.Model(),
 		Clocks:    clks,
 		Stats:     j.ctx.Shuffle,
 		Canceled:  j.ctx.Canceled,
 	}
-}
-
-// residualFn wraps the join's residual predicate (compiled or interpreted)
-// as the closure ShardJoiner evaluates per candidate match.
-func (j *shardedHashJoin) residualFn() func(types.Row) (bool, error) {
-	params := j.ctx.Params
-	if j.residual != nil {
-		pred := j.residual
-		return func(r types.Row) (bool, error) { return pred.Eval(r, params) }
-	}
-	if j.node.Residual != nil {
-		e := j.node.Residual
-		return func(r types.Row) (bool, error) { return expr.EvalPredicate(e, r, params) }
-	}
-	return nil
 }
 
 // openExchange asks the context's transport for this join's exchange,
@@ -327,34 +297,29 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		return nil
 	}
 	if j.scan != nil {
-		nm, npages := scanGeometry(j.scan, j.scanCol)
-		var scanned int64
 		if err := runShards(n, func(s int) error {
-			lo, hi := shardRange(s, n, nm)
+			lo, hi := shardRange(s, n, j.src.n)
 			pk := make([]types.Value, len(j.node.LeftKeys))
-			var cnt int64
 			for m := lo; m < hi; m++ {
 				mseq := int64(m) << shardSeqShift
 				k := int64(0)
-				err := scanMorsel(ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clks[s], func(lr types.Row) error {
+				err := j.src.feed(m, clks[s], func(lr types.Row) error {
 					keyInto(pk, lr, j.node.LeftKeys)
 					if err := route(s, mseq|k, lr, pk); err != nil {
 						return err
 					}
 					k++
-					cnt++
 					return nil
 				})
 				if err != nil {
 					return err
 				}
 			}
-			atomic.AddInt64(&scanned, cnt)
 			return ex.FlushProbe(s)
 		}); err != nil {
 			return err
 		}
-		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)))
+		j.src.done()
 	} else {
 		lrows, err := drain(j.left)
 		j.left = nil
@@ -523,7 +488,7 @@ func (j *shardedHashJoin) runColocated() error {
 
 	// Per-shard build-side scans; shard-major order is heap order, so the
 	// concatenation equals the serial drain.
-	bpred := compilePred(ctx, j.buildScan.Filter)
+	bpred := compilePred(j.buildScan.Filter)
 	brf := bindRuntimeFilters(ctx, j.buildScan.RFConsume)
 	bRows := make([][]types.Row, n)
 	if err := runShards(n, func(s int) error {
@@ -566,31 +531,24 @@ func (j *shardedHashJoin) runColocated() error {
 
 	outs := make([][]types.Row, n)
 	spec := j.spec(clks)
-	var scanned int64
 	if err := runShards(n, func(s int) error {
 		// Colocated shards never touch a transport: each builds and probes
 		// its own page ranges through the same ShardJoiner engine remote
 		// workers run, so charges match the shuffled paths call-for-call.
 		w := NewShardJoiner(spec, clks[s])
-		key := make([]types.Value, len(j.node.RightKeys))
 		for i, r := range bRows[s] {
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				clks[s].Probes(2) // serial charges the insert before skipping null keys
-				continue
-			}
-			w.Insert(ShufBuild{Idx: int32(i), Own: true, Hash: types.HashRow(key), Row: r})
+			w.Insert(ShufBuild{Idx: int32(i), Own: true, Row: r})
 		}
 		var tagged []ShufOut
 		var cnt int64
-		err := scanPageRange(ctx, j.scan, j.scanPred, j.scanRF, pp[s], pp[s+1], clks[s], func(lr types.Row) error {
+		err := scanPageRange(ctx, j.scan, j.src.pred, j.src.rf, pp[s], pp[s+1], clks[s], func(lr types.Row) error {
 			cnt++
 			return w.Probe(ShufProbe{Seq: cnt, Main: true, Row: lr}, &tagged)
 		})
 		if err != nil {
 			return err
 		}
-		atomic.AddInt64(&scanned, cnt)
+		j.src.scanned.Add(cnt)
 		rows := make([]types.Row, len(tagged))
 		for i, o := range tagged {
 			rows[i] = o.Row
@@ -600,7 +558,7 @@ func (j *shardedHashJoin) runColocated() error {
 	}); err != nil {
 		return err
 	}
-	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)))
+	j.src.done()
 	for _, rows := range outs {
 		j.out = append(j.out, rows...)
 	}

@@ -20,8 +20,8 @@ import (
 
 // ShufBuild is one routed build row. Idx is its global build-arrival index
 // (the gather merge's tiebreak); Own marks the copy whose hash-table insert
-// pays the serial charge; Hash is the join-key hash, computed once at the
-// coordinator so replicas agree.
+// pays the serial charge; Hash is the join-key hash the coordinator routed
+// the row by (the receiving ShardJoiner rehashes the row's key itself).
 type ShufBuild struct {
 	Idx  int32
 	Own  bool
@@ -141,77 +141,79 @@ var ErrShufflePeerLost = errors.New("exec: shuffle peer lost")
 
 // ShardJoiner is the receiving half of a shuffle exchange for one shard:
 // the hash-table build and serial-order probe engine both the local
-// exchange and the server package's worker processes run. Charges mirror
-// the serial hash join exactly — Probes(2) per owned insert, Probes(1) per
-// main probe copy, RowWork(1) per emitted row — on whatever clock the
-// shard lives on.
+// exchange and the server package's worker processes run. It runs the join
+// kernel (hashjoin.go), so charges mirror the serial hash join exactly —
+// Probes(2) per owned insert, Probes(1) per main probe copy, RowWork(1) per
+// emitted row — on whatever clock the shard lives on.
 type ShardJoiner struct {
 	Spec ShuffleJoinSpec
 	Clk  *storage.Clock
 
-	tab map[uint64][]ShufBuild
-	pk  []types.Value
-	ck  []types.Value
+	kern *joinKernel
+	st   *probeScratch
+	tab  map[uint64][]ShufBuild // build rows by join-key hash, in arrival order
 }
 
 // NewShardJoiner returns a joiner charging the given clock.
 func NewShardJoiner(spec ShuffleJoinSpec, clk *storage.Clock) *ShardJoiner {
+	k := &joinKernel{
+		leftKeys:  spec.LeftKeys,
+		rightKeys: spec.RightKeys,
+		outer:     spec.LeftOuter,
+		residual:  spec.Residual,
+		nulls:     nullRow(spec.RWidth),
+	}
 	return &ShardJoiner{
 		Spec: spec,
 		Clk:  clk,
+		kern: k,
+		st:   k.newScratch(),
 		tab:  make(map[uint64][]ShufBuild),
-		pk:   make([]types.Value, len(spec.LeftKeys)),
-		ck:   make([]types.Value, len(spec.RightKeys)),
 	}
 }
 
-// Insert adds one routed build row. Rows must arrive in ascending Idx order
-// per stream (the coordinator routes them that way), so hash chains keep
-// build-arrival order and candidate iteration reproduces the serial chain.
+// Insert adds one routed build row through the kernel's build insert; only
+// the Own copy pays the insert charge. Rows must arrive in ascending Idx
+// order per stream (the coordinator routes them that way), so hash chains
+// keep build-arrival order and candidate iteration reproduces the serial
+// chain.
 func (w *ShardJoiner) Insert(b ShufBuild) {
-	if b.Own {
-		w.Clk.Probes(2)
+	clk := w.Clk
+	if !b.Own {
+		clk = nil
 	}
-	w.tab[b.Hash] = append(w.tab[b.Hash], b)
+	if h, ok := w.kern.insert(clk, w.st.ckey, b.Row); ok {
+		w.tab[h] = append(w.tab[h], b)
+	}
 }
 
 // TableSize reports distinct hash buckets (trace/debug only).
 func (w *ShardJoiner) TableSize() int { return len(w.tab) }
 
-// Probe probes one routed row, appending tagged outputs to out. The charge
-// placement is the serial join's: one probe per Main copy, one unit of row
-// work per emitted row.
+// Probe probes one routed row through the kernel's match step, appending
+// tagged outputs to out. Only the Main copy pays the probe charge and
+// null-extends; every copy pays row work for its own matches.
 func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 	if p.Main {
 		w.Clk.Probes(1)
 	}
-	keyInto(w.pk, p.Row, w.Spec.LeftKeys)
+	keyInto(w.st.key, p.Row, w.kern.leftKeys)
 	matched := false
-	if !keyHasNull(w.pk) {
-		h := types.HashRow(w.pk)
-		for _, cand := range w.tab[h] {
-			keyInto(w.ck, cand.Row, w.Spec.RightKeys)
-			if !keysEqual(w.pk, w.ck) {
-				continue
+	if !keyHasNull(w.st.key) {
+		for _, cand := range w.tab[types.HashRow(w.st.key)] {
+			ok, err := w.kern.match(w.Clk, w.st, p.Row, cand.Row)
+			if err != nil {
+				return err
 			}
-			buf := types.Concat(p.Row, cand.Row)
-			if w.Spec.Residual != nil {
-				ok, err := w.Spec.Residual(buf)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
+			if ok {
+				matched = true
+				*out = append(*out, ShufOut{Seq: p.Seq, BIdx: cand.Idx, Row: w.st.take()})
 			}
-			w.Clk.RowWork(1)
-			matched = true
-			*out = append(*out, ShufOut{Seq: p.Seq, BIdx: cand.Idx, Row: buf})
 		}
 	}
-	if w.Spec.LeftOuter && !matched && p.Main {
-		w.Clk.RowWork(1)
-		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: types.Concat(p.Row, nullRow(w.Spec.RWidth))})
+	if w.kern.outer && !matched && p.Main {
+		w.kern.extend(w.Clk, w.st, p.Row)
+		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: w.st.take()})
 	}
 	return nil
 }

@@ -114,19 +114,18 @@ func (ctx *Context) spillEvent(kind, format string, args ...any) {
 
 // ---------- partitioned (grace/hybrid) hash join ----------
 
-// spillJoin is the shared spill core of the hash join, delegated to by the
-// row-at-a-time, vectorized and morsel-parallel operators alike so the
-// three paths stay charge- and result-identical under pressure. The caller
-// drains the build side, obtains a grant, and constructs a spillJoin when
-// the build exceeds it; probe rows whose partition is resident are answered
+// spillJoin is the spill core of the hash join (the spilling form of a
+// joinTable), shared by the row-at-a-time, vectorized, morsel-parallel and
+// sharded operators alike so every path stays charge- and result-identical
+// under pressure. Probe rows whose partition is resident are answered
 // immediately (preserving the streaming probe order), the rest are deferred
 // to probe runs and joined when finish replays the spilled partitions.
 type spillJoin struct {
 	ctx      *Context
+	kern     *joinKernel
 	node     *plan.JoinNode
 	depth    int
 	fanout   int
-	rWidth   int
 	table    map[uint64][]types.Row // resident partitions' build rows
 	resident []bool
 	bruns    []*storage.TempRun // spilled build partitions
@@ -134,23 +133,23 @@ type spillJoin struct {
 }
 
 // newSpillJoin partitions the drained build side under the given grant
-// (already obtained — and kept — by the caller). Build rows must be owned
-// by the caller (drain clones them).
-func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, rWidth, depth int) *spillJoin {
+// (already obtained — and kept — by the caller's joinTable).
+func newSpillJoin(ctx *Context, k *joinKernel, node *plan.JoinNode, build []types.Row, grant, depth int) *spillJoin {
 	s := &spillJoin{
 		ctx:    ctx,
+		kern:   k,
 		node:   node,
 		depth:  depth,
 		fanout: spillFanout(len(build)),
-		rWidth: rWidth,
 	}
 	parts := make([][]types.Row, s.fanout)
+	ckey := make([]types.Value, len(node.RightKeys))
 	for _, r := range build {
-		k := keyOf(r, node.RightKeys)
-		if keyHasNull(k) {
+		keyInto(ckey, r, node.RightKeys)
+		if keyHasNull(ckey) {
 			continue // a null key matches nothing on either join type
 		}
-		p := spillPartOf(types.HashRow(k), depth, s.fanout)
+		p := spillPartOf(types.HashRow(ckey), depth, s.fanout)
 		parts[p] = append(parts[p], r)
 	}
 	// Keep the longest prefix of partitions that fits the grant resident;
@@ -167,8 +166,7 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, r
 			s.resident[p] = true
 			residentRows += len(rows)
 			for _, r := range rows {
-				ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-				h := types.HashRow(keyOf(r, node.RightKeys))
+				h, _ := k.insert(ctx.Clock, ckey, r) // keys are non-null here
 				s.table[h] = append(s.table[h], r)
 			}
 			continue
@@ -189,12 +187,9 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, r
 	return s
 }
 
-// probe answers one probe row with a non-null key: if its partition is
-// resident it returns the hash bucket to match against (the caller applies
-// key equality, residual and outer semantics exactly as in memory); if the
-// partition spilled, the row is deferred to its probe run and handled by
-// finish. The caller charges its per-probe-row cost itself; deferral
-// charges only the page writes.
+// probe is joinTable.lookup for a spilling table: the bucket of a resident
+// partition, or deferral of lr (cloned) to its partition's probe run,
+// charging only the page writes.
 func (s *spillJoin) probe(lr types.Row, key []types.Value) (bucket []types.Row, deferred bool) {
 	h := types.HashRow(key)
 	p := spillPartOf(h, s.depth, s.fanout)
@@ -224,7 +219,7 @@ func (s *spillJoin) finish(emit func(types.Row) error) error {
 		}
 		build := s.bruns[p].Drain(s.ctx.Clock)
 		probe := s.pruns[p].Drain(s.ctx.Clock)
-		if err := joinPartition(s.ctx, s.node, build, probe, s.rWidth, s.depth+1, emit); err != nil {
+		if err := joinPartition(s.ctx, s.kern, s.node, build, probe, s.depth+1, emit); err != nil {
 			return err
 		}
 	}
@@ -246,104 +241,39 @@ func (s *spillJoin) close() {
 	s.bruns, s.pruns = nil, nil
 }
 
-// joinPartition joins one spilled (build, probe) partition pair: in memory
-// when the grant covers the build, by recursive repartitioning otherwise,
-// and by external sort-merge once the recursion bound is hit. Charges
-// mirror the in-memory hash join exactly (insert = 2 probes per build row,
+// joinPartition joins one spilled (build, probe) partition pair through a
+// joinTable — resident when the grant covers the build, repartitioned
+// recursively otherwise — and by external sort-merge once the recursion
+// bound is hit. Charges are the kernel's (insert = 2 probes per build row,
 // 1 probe per probe row, 1 row of CPU per emitted row) plus the temp-run
-// I/O charged where rows actually move.
-func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, rWidth, depth int, emit func(types.Row) error) error {
+// I/O charged where rows actually move. emit's row is valid until the next
+// call, as for joinKernel.probe.
+func joinPartition(ctx *Context, k *joinKernel, node *plan.JoinNode, build, probe []types.Row, depth int, emit func(types.Row) error) error {
 	grant := ctx.Mem.Grant(len(build))
-	defer ctx.Mem.Release(grant)
-	if len(build) <= grant {
-		table := make(map[uint64][]types.Row, len(build))
-		for _, r := range build {
-			ctx.Clock.Probes(2)
-			k := keyOf(r, node.RightKeys)
-			if keyHasNull(k) {
-				continue
-			}
-			h := types.HashRow(k)
-			table[h] = append(table[h], r)
-		}
-		for _, lr := range probe {
-			ctx.Clock.Probes(1)
-			k := keyOf(lr, node.LeftKeys)
-			matched := false
-			if !keyHasNull(k) {
-				for _, cand := range table[types.HashRow(k)] {
-					if !keysEqual(k, keyOf(cand, node.RightKeys)) {
-						continue
-					}
-					out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
-					if err != nil {
-						return err
-					}
-					if ok {
-						matched = true
-						if err := emit(out); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			if node.Type == plan.LeftOuter && !matched {
-				ctx.Clock.RowWork(1)
-				if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	if len(build) > grant && depth > maxSpillDepth {
+		defer ctx.Mem.Release(grant)
+		return mergeJoinSpilled(ctx, k, node, build, probe, emit)
 	}
-	if depth > maxSpillDepth {
-		return mergeJoinSpilled(ctx, node, build, probe, rWidth, emit)
-	}
-	sub := newSpillJoin(ctx, node, build, grant, rWidth, depth)
-	defer sub.close()
+	t := newJoinTable(ctx, k, node, build, grant, depth)
+	defer t.close(ctx.Mem)
+	st := k.newScratch()
 	for _, lr := range probe {
 		ctx.Clock.Probes(1)
-		k := keyOf(lr, node.LeftKeys)
-		matched := false
-		if !keyHasNull(k) {
-			bucket, deferred := sub.probe(lr, k)
-			if deferred {
-				continue // outer semantics resolve inside the recursion
-			}
-			for _, cand := range bucket {
-				if !keysEqual(k, keyOf(cand, node.RightKeys)) {
-					continue
-				}
-				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					if err := emit(out); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if node.Type == plan.LeftOuter && !matched {
-			ctx.Clock.RowWork(1)
-			if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
-				return err
-			}
+		if err := k.probe(ctx.Clock, st, t, lr, emit); err != nil {
+			return err
 		}
 	}
-	return sub.finish(emit)
+	return t.finish(emit)
 }
 
 // mergeJoinSpilled is the external sort-merge fallback for a partition that
 // will not fit even after maxSpillDepth repartitionings (duplicate-key
 // skew). Both sides sort in grant-sized runs (comparisons charged like
 // sortRows, one write+read pass over both sides for the runs), then merge
-// in streaming fashion with left-outer support. A duplicate-key group on
-// the build side is buffered during the merge, as in the in-memory merge
-// join.
-func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Row, rWidth int, emit func(types.Row) error) error {
+// in streaming fashion, each key group through the kernel's match step and
+// outer extension. A duplicate-key group on the build side is buffered
+// during the merge, as in the in-memory merge join.
+func mergeJoinSpilled(ctx *Context, k *joinKernel, node *plan.JoinNode, build, probe []types.Row, emit func(types.Row) error) error {
 	ctx.Spill.fallback()
 	ctx.spillEvent("spill.merge_fallback", "%s build=%d probe=%d", node.Label(), len(build), len(probe))
 	pages := (len(build)+storage.PageRows-1)/storage.PageRows +
@@ -352,45 +282,45 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 	ctx.Clock.SeqRead(pages)
 	sortRows(ctx, probe, node.LeftKeys)
 	sortRows(ctx, build, node.RightKeys)
+	st := k.newScratch()
 	ri := 0
 	var group []types.Row
 	for _, lr := range probe {
-		lk := keyOf(lr, node.LeftKeys)
+		keyInto(st.key, lr, node.LeftKeys)
 		matched := false
-		if !keyHasNull(lk) {
+		if !keyHasNull(st.key) {
 			for ri < len(build) {
 				ctx.Clock.Compares(1)
 				rk := keyOf(build[ri], node.RightKeys)
-				if keyHasNull(rk) || compareKeys(rk, lk) < 0 {
+				if keyHasNull(rk) || compareKeys(rk, st.key) < 0 {
 					ri++
 					continue
 				}
 				break
 			}
 			group = group[:0]
-			for k := ri; k < len(build); k++ {
+			for j := ri; j < len(build); j++ {
 				ctx.Clock.Compares(1)
-				if compareKeys(keyOf(build[k], node.RightKeys), lk) != 0 {
+				if compareKeys(keyOf(build[j], node.RightKeys), st.key) != 0 {
 					break
 				}
-				group = append(group, build[k])
+				group = append(group, build[j])
 			}
 			for _, cand := range group {
-				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
+				ok, err := k.match(ctx.Clock, st, lr, cand)
 				if err != nil {
 					return err
 				}
 				if ok {
 					matched = true
-					if err := emit(out); err != nil {
+					if err := emit(st.buf); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		if node.Type == plan.LeftOuter && !matched {
-			ctx.Clock.RowWork(1)
-			if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
+		if k.outer && !matched {
+			if err := emit(k.extend(ctx.Clock, st, lr)); err != nil {
 				return err
 			}
 		}
@@ -437,16 +367,11 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 // spilled rows are cloned.
 func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) error {
 	h := types.HashRow(key)
-	for _, cand := range s.part.groups[h] {
-		if rowsEqual(cand.key, key) {
-			return accum(cand)
-		}
+	if g := s.part.find(key, h); g != nil {
+		return accum(g)
 	}
 	if len(s.part.order) < s.grant {
-		g := &group{key: append([]types.Value(nil), key...), states: make([]aggState, len(s.node.Aggs))}
-		s.part.groups[h] = append(s.part.groups[h], g)
-		s.part.order = append(s.part.order, g)
-		return accum(g)
+		return accum(s.part.add(newGroup(key, len(s.node.Aggs)), h))
 	}
 	if !s.spilling {
 		s.spilling = true
@@ -493,11 +418,13 @@ func (s *aggSink) finish() ([]*group, error) {
 			out = append(out, gs...)
 			continue
 		}
+		// Re-aggregation interprets on every path: the compiled forms are
+		// bit-identical, so the recursion need not know which one fed it.
 		sub := newAggSink(s.ctx, s.node, s.depth+1)
 		key := make([]types.Value, len(s.node.GroupExprs))
 		for _, r := range rows {
 			s.ctx.Clock.Probes(1) // the re-aggregation probe
-			if err := s.evalKey(key, r); err != nil {
+			if err := evalExprs(key, s.node.GroupExprs, r, s.ctx.Params); err != nil {
 				return nil, err
 			}
 			if err := sub.add(key, r, func(g *group) error {
@@ -516,19 +443,6 @@ func (s *aggSink) finish() ([]*group, error) {
 	return out, nil
 }
 
-// evalKey fills key with r's group expressions (interpreted — the compiled
-// forms are bit-identical, so recursion may always use the interpreter).
-func (s *aggSink) evalKey(key []types.Value, r types.Row) error {
-	for i, ge := range s.node.GroupExprs {
-		v, err := ge.Eval(r, s.ctx.Params)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	return nil
-}
-
 // sortedAggregate is the fallback for a partition still too large at the
 // recursion bound: sort the rows on the group key (comparisons charged like
 // any sort), then stream-aggregate with one comparison per row — group
@@ -539,7 +453,7 @@ func (s *aggSink) sortedAggregate(rows []types.Row) ([]*group, error) {
 	keys := make([][]types.Value, len(rows))
 	for i, r := range rows {
 		k := make([]types.Value, len(s.node.GroupExprs))
-		if err := s.evalKey(k, r); err != nil {
+		if err := evalExprs(k, s.node.GroupExprs, r, s.ctx.Params); err != nil {
 			return nil, err
 		}
 		keys[i] = k

@@ -118,6 +118,7 @@ var spillQueries = []string{
 	`SELECT big.g, COUNT(*), SUM(big.v), MIN(big.v), MAX(big.v) FROM big GROUP BY big.g`,
 	`SELECT probe.g, COUNT(DISTINCT big.k), SUM(big.v) FROM probe, big WHERE probe.k = big.k GROUP BY probe.g`,
 	`SELECT big.v FROM big WHERE big.k IS NOT NULL ORDER BY big.v`,
+	`SELECT probe.v, big.v FROM probe LEFT JOIN big ON probe.k = big.k AND big.v < probe.v`,
 }
 
 func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop int, vec bool, sched func(int) int) ([]types.Row, *Context) {

@@ -31,7 +31,7 @@ type MemSweepPoint struct {
 var memSweepBudgets = []int{64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 30}
 
 // MemSweep runs the memory-degradation sweep and returns both the report
-// and the raw points (for rqpbench -mem-sweep and the DESIGN.md table).
+// and the raw points (for rqpbench -sweep mem-sweep and the DESIGN.md table).
 // For every budget on the ladder the TPC-H-lite join/aggregate suite runs
 // to completion; the point records total cost, spill activity, and whether
 // the results stayed identical to the unlimited-budget run (float columns

@@ -34,7 +34,7 @@ type FilterSweepPoint struct {
 var filterSweepSels = []float64{0.001, 0.01, 0.1, 0.5, 0.9, 1.0}
 
 // FilterSweep runs the runtime-filter selectivity sweep and returns both
-// the report and the raw points (for rqpbench -filter-sweep and the
+// the report and the raw points (for rqpbench -sweep filter-sweep and the
 // DESIGN.md table). The fact table holds N unique keys; the dim table
 // holds sel*N of them, spread evenly so min/max bounds alone cannot do the
 // filtering. The join is forced to JoinHash with fact as the probe side,

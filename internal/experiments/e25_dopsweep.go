@@ -34,7 +34,7 @@ type DopSweepPoint struct {
 var dopSweepDOPs = []int{1, 2, 4, 8}
 
 // DopSweep runs the TPC-H-lite suite across the DOP ladder and returns
-// the report plus the raw points (for rqpbench -dop-sweep and the
+// the report plus the raw points (for rqpbench -sweep dop-sweep and the
 // regression gate).
 func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.5 * scale, Seed: 23})

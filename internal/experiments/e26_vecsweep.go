@@ -26,7 +26,7 @@ type VecSweepPoint struct {
 }
 
 // VecSweep runs the row-vs-vectorized parity sweep and returns the report
-// plus the raw points (for rqpbench -vec-sweep and the regression gate).
+// plus the raw points (for rqpbench -sweep vec-sweep and the regression gate).
 func VecSweep(scale float64) (*Report, []VecSweepPoint, error) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.5 * scale, Seed: 23})
 	if err != nil {

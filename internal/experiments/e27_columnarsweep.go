@@ -43,7 +43,7 @@ const columnarSweepBlock = 1024
 const columnarCard = 64
 
 // ColumnarSweep runs the encoding x selectivity sweep and returns the
-// report plus the raw points (for rqpbench -columnar-sweep and the
+// report plus the raw points (for rqpbench -sweep columnar-sweep and the
 // regression gate).
 func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 	n := scaleInt(20000, scale)

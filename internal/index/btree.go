@@ -6,6 +6,7 @@ package index
 
 import (
 	"fmt"
+	"sync"
 
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -65,8 +66,15 @@ type node struct {
 	next     *node // leaf chain
 }
 
-// BTree is the tree handle.
+// BTree is the tree handle. It is safe for concurrent use: one latch
+// admits either one writer (Insert, Delete) or many readers (Scan, Lookup,
+// Len, Height), and a reader holds it for its whole traversal, callbacks
+// included. A callback must therefore not write the tree; the executor's
+// callbacks only fetch heap rows, and catalog writers release the heap
+// before they write an index, so the two locks are never taken in
+// opposite orders.
 type BTree struct {
+	mu      sync.RWMutex
 	root    *node
 	size    int
 	numCols int
@@ -79,16 +87,26 @@ func New(numCols int) *BTree {
 }
 
 // Len returns the number of stored entries.
-func (t *BTree) Len() int { return t.size }
+func (t *BTree) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.size
+}
 
 // Height returns the tree height (1 = just a leaf root).
-func (t *BTree) Height() int { return t.height }
+func (t *BTree) Height() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.height
+}
 
 // NumCols returns the key column count.
 func (t *BTree) NumCols() int { return t.numCols }
 
 // Insert adds an entry. Duplicate (key, rid) pairs are ignored.
 func (t *BTree) Insert(key []types.Value, rid storage.RID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	e := Entry{Key: key, RID: rid}
 	nw, sep := t.insert(t.root, e)
 	if nw != nil {
@@ -176,6 +194,8 @@ func lowerBoundEntries(es []Entry, e Entry) int {
 // is tolerated (nodes are not rebalanced on delete — acceptable for the
 // workloads here, where deletes are rare relative to inserts).
 func (t *BTree) Delete(key []types.Value, rid storage.RID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	e := Entry{Key: key, RID: rid}
 	n := t.root
 	for !n.leaf {
@@ -201,6 +221,8 @@ type Bound struct {
 // random read per level descended plus one sequential read per leaf visited.
 // The callback returns false to stop.
 func (t *BTree) Scan(clk *storage.Clock, lo, hi Bound, fn func(Entry) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if clk != nil {
 		clk.RandRead(t.height)
 	}
@@ -276,6 +298,8 @@ func (t *BTree) Lookup(clk *storage.Clock, key []types.Value, fn func(Entry) boo
 // CheckInvariants validates ordering and structural invariants; used by
 // property tests. It returns an error describing the first violation.
 func (t *BTree) CheckInvariants() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	count := 0
 	var prev *Entry
 	var walk func(n *node, depth int) (int, error)
